@@ -15,7 +15,8 @@ candidate — is a sha256-lattice draw keyed by the iteration
 a pure fold over the rows in iteration order.  Killing the driver at any
 point and resuming from its JSONL therefore reproduces the exact same
 trajectory, and the final output file is byte-identical to an uninterrupted
-run's (the crash-tolerant runner idiom).
+run's (the crash-tolerant runner idiom; loading, appending and compaction are
+the shared steps of :mod:`repro.durable`).
 
 Every evaluated row passes through the forensic audit
 (:func:`repro.analysis.forensics.audit_rows`).  Any violation — an
@@ -31,19 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.zoo import AdversaryLattice
 from repro.analysis.forensics import audit_rows
-from repro.engine.runner import (
-    ROW_SCHEMA_VERSION,
-    _write_rows_atomically,
-    dump_row,
-    run_cell,
-)
+from repro.durable import dump_row, load_rows, open_for_append, write_rows_atomically
+from repro.engine.runner import ROW_SCHEMA_VERSION, run_cell
 from repro.engine.spec import SEQUENTIAL, Cell, canonical_params, cell_seed
 from repro.exceptions import ConfigurationError, ReproductionFinding
 from repro.workloads.topologies import topology
@@ -285,45 +281,43 @@ def _search_cell(
     )
 
 
-def _load_rows(path: str, topology_name: str, base_seed: int) -> List[Dict[str, Any]]:
+def _load_rows(
+    path: str, topology_name: str, base_seed: int
+) -> Tuple[List[Dict[str, Any]], int]:
     """Rows of a previous run of the *same* search, in iteration order.
 
     Rows are kept only while they form the contiguous prefix 0..k of verified
     iterations (matching schema, spec, topology and re-derived seed) — the
     fold that rebuilds the acceptance state needs every prior step.
+
+    Returns:
+        ``(prefix_rows, discarded_line_count)``; lines past the prefix and
+        repeated iterations count as discarded.
     """
-    if not os.path.exists(path):
-        return []
+
+    def verified(row: Dict[str, Any]) -> bool:
+        iteration = row.get("iteration")
+        return (
+            row.get("schema") == ROW_SCHEMA_VERSION
+            and row.get("spec") == SEARCH_SPEC
+            and row.get("topology") == topology_name
+            and isinstance(iteration, int)
+            and not isinstance(iteration, bool)
+            and row.get("seed") == cell_seed(base_seed, str(row.get("cell_id")))
+            and row.get("error") is None
+        )
+
+    accepted, discarded = load_rows(path, verified)
     by_iteration: Dict[int, Dict[str, Any]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(row, dict):
-                continue
-            iteration = row.get("iteration")
-            if (
-                row.get("schema") == ROW_SCHEMA_VERSION
-                and row.get("spec") == SEARCH_SPEC
-                and row.get("topology") == topology_name
-                and isinstance(iteration, int)
-                and not isinstance(iteration, bool)
-                and row.get("seed") == cell_seed(base_seed, str(row.get("cell_id")))
-                and row.get("error") is None
-            ):
-                by_iteration.setdefault(iteration, row)
+    for row in accepted:
+        by_iteration.setdefault(row["iteration"], row)
     rows: List[Dict[str, Any]] = []
     for iteration in range(len(by_iteration)):
         row = by_iteration.get(iteration)
         if row is None:
             break
         rows.append(row)
-    return rows
+    return rows, discarded + len(accepted) - len(rows)
 
 
 def run_search(
@@ -355,8 +349,9 @@ def run_search(
     nodes = topology(topology_name).nodes()
 
     rows: List[Dict[str, Any]] = []
+    discarded = 0
     if out_path and resume:
-        rows = _load_rows(out_path, topology_name, seed)
+        rows, discarded = _load_rows(out_path, topology_name, seed)
     resumed = len(rows)
 
     # Rebuild the acceptance state by folding the prior rows in order; the
@@ -384,15 +379,9 @@ def run_search(
 
     handle = None
     if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        mode = "a" if (resume and rows) else "w"
-        if resume and rows:
-            # Drop any lines past the verified prefix (truncated tails, rows
-            # from other searches) before appending.
-            _write_rows_atomically(out_path, rows)
-        handle = open(out_path, mode, encoding="utf-8")
+        # Lines past the verified prefix (truncated tails, rows from other
+        # searches) are dropped before appending.
+        handle = open_for_append(out_path, rows, discarded)
 
     try:
         for iteration in range(len(rows), budget):
@@ -439,7 +428,7 @@ def run_search(
         if out_path and rows:
             # Compact: a killed-and-resumed run and a fresh run of the same
             # (seed, budget) produce byte-identical files.
-            _write_rows_atomically(out_path, rows)
+            write_rows_atomically(out_path, rows)
 
     return SearchSummary(
         topology=topology_name,

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
+from repro.durable import dump_row
 from repro.exceptions import ConfigurationError
 from repro.graph.connectivity import meets_connectivity_requirement
 from repro.sched.faults import named_fault_plans
@@ -42,7 +43,7 @@ def canonical_params(params: Mapping[str, object]) -> str:
     so byte-identical parameters always produce byte-identical cell ids and
     derived seeds.
     """
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return dump_row(params)
 
 #: Strategy-axis value meaning "no Byzantine nodes at all".
 FAULT_FREE = "fault-free"

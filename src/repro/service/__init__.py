@@ -10,12 +10,13 @@ long-lived process.  This package is that service layer:
   after every instance.  Sessions are pure functions of their spec, so a
   checkpoint plus the spec determines the rest of the run exactly.
 * :mod:`repro.service.wal` — the crash-safe write-ahead log those checkpoints
-  land in (append + fsync cadence; tmp+fsync+atomic-replace compaction, the
-  PR 6 contract).
+  land in (append + fsync cadence; loading and rewrites through
+  :mod:`repro.durable`).
 * :mod:`repro.service.pool` — a supervised pool of *persistent* workers with
   warm per-topology caches, topology-affine dispatch with work stealing,
   bounded queues with deterministic seeded-lattice load shedding, retry with
-  exponential backoff, and quarantine of poisoned sessions.
+  exponential backoff, and quarantine of poisoned tasks.  Engine sweeps run
+  their cells on it too.
 * :mod:`repro.service.service` — the orchestrator: resume from the output
   file and the WAL, run the pool, compact canonically.  A SIGKILLed worker or
   driver resumes every session mid-flight and the completed output file is

@@ -158,9 +158,9 @@ def _print_status(out_path: str) -> int:
             f"STALE QUARANTINE: {status['stale_quarantined_sessions']} session(s) "
             f"from a prior run still unresolved -> {quarantine}"
         )
-    elif sessions.get("quarantined"):
+    if sessions.get("quarantined"):
         print(f"QUARANTINE: {sessions['quarantined']} session(s) -> {quarantine}")
-    elif os.path.exists(quarantine):
+    elif not degraded and os.path.exists(quarantine):
         print(f"QUARANTINE file present -> {quarantine}")
         degraded = True
     print("health: " + ("DEGRADED" if degraded else "ok"))

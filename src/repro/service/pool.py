@@ -1,13 +1,16 @@
-"""The supervised session pool: persistent workers, affinity, degradation.
+"""The supervised pool: persistent workers, affinity, degradation.
 
-This generalises the engine runner's crash-tolerant pool (PR 6) from one-shot
-sweep workers to a long-lived service:
+Every driver that supervises work runs it here: the session service runs
+sessions, and engine sweeps (:func:`repro.engine.runner.run_spec`) run
+cells.  A :class:`TaskKind` says what a task is — how a
+worker executes it and how it is named in crash bookkeeping; the default is
+the session.
 
 * **Persistent workers.**  Each worker owns a private duplex pipe and serves
-  many sessions, keeping its per-topology contexts and budgeted kernel /
-  structure caches warm across sessions — the latency win a long-running
-  service exists for.  Death (pipe EOF) is still attributable to exactly one
-  in-flight session.
+  many tasks, keeping its per-topology contexts and budgeted kernel /
+  structure caches warm across tasks — the latency win a long-running
+  service exists for.  Death (pipe EOF) is attributable to exactly one
+  in-flight task.
 * **Snapshot streaming.**  While executing, a worker streams checkpoint rows
   (``("snapshot", row)``) back through its pipe before the final
   ``("done", row)``; the single-threaded supervisor appends them to the
@@ -38,7 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import ServiceMetrics, process_cache_sample
 from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec, run_session
@@ -96,25 +100,56 @@ class AdmissionController:
 
 @dataclass
 class PoolTask:
-    """One session's journey through the pool."""
+    """One task's journey through the pool (``spec`` is a session or a cell)."""
 
-    spec: SessionSpec
+    spec: Any
     snapshot: Optional[Dict[str, object]] = None
     attempts: int = 0
     exitcodes: List[Optional[int]] = field(default_factory=list)
     submitted_at: float = 0.0
 
 
-def quarantine_row(task: PoolTask) -> Dict[str, object]:
-    """The JSONL row describing a quarantined session (PR 6 idiom)."""
-    row: Dict[str, object] = {"schema": SESSION_SCHEMA_VERSION}
-    row.update(task.spec.to_jsonable())
+@dataclass(frozen=True)
+class TaskKind:
+    """What the pool's tasks are.
+
+    Attributes:
+        noun: The task's name in crash messages (``"session"``, ``"cell"``).
+        task_id: The task's stable identity (retry, snapshot and shed
+            bookkeeping, quarantine resolution).
+        identity: The fields heading the task's quarantine row.
+        execute: Runs one task in a worker:
+            ``execute(spec, snapshot, checkpoint, checkpoint_every) -> row``.
+            Deterministic failures must come back as error rows; only
+            process death is a pool-level event.
+    """
+
+    noun: str
+    task_id: Callable[[Any], str]
+    identity: Callable[[Any], Dict[str, object]]
+    execute: Callable[..., Dict[str, object]]
+
+
+def quarantine_row(task: PoolTask, kind: TaskKind) -> Dict[str, object]:
+    """The JSONL row describing a quarantined task.
+
+    The task's identity fields, with the crash evidence (attempt count and
+    the exit codes of the dead workers — e.g. ``-9`` for SIGKILL) in place
+    of a result.
+    """
+    row = kind.identity(task.spec)
     row["attempts"] = task.attempts
     row["worker_exitcodes"] = list(task.exitcodes)
     row["error"] = (
         f"WorkerCrash: worker process died {task.attempts} time(s) "
-        "executing this session"
+        f"executing this {kind.noun}"
     )
+    return row
+
+
+def _session_identity(spec: SessionSpec) -> Dict[str, object]:
+    row: Dict[str, object] = {"schema": SESSION_SCHEMA_VERSION}
+    row.update(spec.to_jsonable())
     return row
 
 
@@ -138,18 +173,19 @@ def execute_session(
             checkpoint_every=checkpoint_every,
         )
     except Exception as exc:  # noqa: BLE001 - services must survive bad sessions
-        row: Dict[str, object] = {"schema": SESSION_SCHEMA_VERSION}
-        row.update(spec.to_jsonable())
+        row = _session_identity(spec)
         row["record"] = None
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
 
-def _service_worker_main(conn: Connection, checkpoint_every: int) -> None:
-    """Persistent-worker child: serve sessions off ``conn`` until told to stop.
+def _worker_main(
+    conn: Connection, execute: Callable[..., Dict[str, object]], checkpoint_every: int
+) -> None:
+    """Persistent-worker child: serve tasks off ``conn`` until told to stop.
 
-    Request: ``(spec_jsonable, snapshot_or_None)``.  Response stream: zero or
-    more ``("snapshot", row)`` checkpoints followed by one ``("done", row)``.
+    Request: ``(spec, snapshot_or_None)``.  Response stream: zero or more
+    ``("snapshot", row)`` checkpoints followed by one ``("done", row)``.
     A ``None`` request is the shutdown signal, answered with one
     ``("stats", sample)`` — the worker's warm-cache and RSS sample for the
     ops surface — before exiting.  Warm caches (topology contexts, kernel
@@ -169,13 +205,12 @@ def _service_worker_main(conn: Connection, checkpoint_every: int) -> None:
                 except (OSError, ValueError):
                     pass
                 return
-            spec_data, snapshot = request
-            spec = SessionSpec.from_jsonable(spec_data)
-            row = execute_session(
+            spec, snapshot = request
+            row = execute(
                 spec,
                 snapshot,
-                checkpoint=lambda row: conn.send(("snapshot", row)),
-                checkpoint_every=checkpoint_every,
+                lambda row: conn.send(("snapshot", row)),
+                checkpoint_every,
             )
             conn.send(("done", row))
     finally:
@@ -209,11 +244,12 @@ def run_pool(
     retry_backoff: float = 0.5,
     admission: Optional[AdmissionController] = None,
     on_shed: Optional[Callable[[SessionSpec], None]] = None,
+    kind: Optional[TaskKind] = None,
 ) -> Tuple[int, List[Dict[str, object]]]:
     """Drain ``tasks`` through the supervised persistent-worker pool.
 
     Args:
-        tasks: The sessions to run (with any resume snapshots attached).
+        tasks: The tasks to run (with any resume snapshots attached).
         workers: Pool size; ``<= 1`` runs serially in-process (checkpoints
             still stream to the WAL, so a killed *driver* resumes too).
         emit: Called with each completed row and its task (single-threaded).
@@ -226,12 +262,21 @@ def run_pool(
             (doubled per subsequent crash); ``0`` retries immediately.
         admission: Load-shedding policy; ``None`` admits everything.
         on_shed: Called with each shed session's spec.
+        kind: What the tasks are; ``None`` means sessions run by
+            :func:`execute_session`.
 
     Returns:
-        ``(retried_session_count, quarantine_rows)``.
+        ``(retried_task_count, quarantine_rows)``.
     """
     if admission is None:
         admission = AdmissionController()
+    if kind is None:
+        # Built per call, so the executor is whatever ``execute_session``
+        # names at run time (a wrapper installed on it sees every session).
+        kind = TaskKind(
+            "session", attrgetter("session_id"), _session_identity, execute_session
+        )
+    task_id = kind.task_id
     pool_started = time.perf_counter()
 
     def shed(task: PoolTask) -> None:
@@ -240,7 +285,7 @@ def run_pool(
             on_shed(task.spec)
 
     if workers <= 1:
-        return _run_serial(tasks, emit, wal_append, metrics, checkpoint_every)
+        return _run_serial(tasks, emit, wal_append, metrics, checkpoint_every, kind)
 
     ctx = multiprocessing.get_context()
     slots = [_WorkerSlot(queue_depth) for _ in range(workers)]
@@ -248,8 +293,8 @@ def run_pool(
     def spawn(slot: _WorkerSlot) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
-            target=_service_worker_main,
-            args=(child_conn, checkpoint_every),
+            target=_worker_main,
+            args=(child_conn, kind.execute, checkpoint_every),
             daemon=True,
         )
         process.start()
@@ -292,7 +337,7 @@ def run_pool(
                 break
             task = offered[0]
             if task.attempts == 0 and not admission.admits(
-                task.spec.session_id, queued
+                task_id(task.spec), queued
             ):
                 offered.popleft()
                 shed(task)
@@ -331,9 +376,9 @@ def run_pool(
                 task = next_task_for(slot)
                 if task is None:
                     break
-                snapshot = latest_snapshot.get(task.spec.session_id, task.snapshot)
+                snapshot = latest_snapshot.get(task_id(task.spec), task.snapshot)
                 try:
-                    slot.conn.send((task.spec.to_jsonable(), snapshot))
+                    slot.conn.send((task.spec, snapshot))
                 except (OSError, ValueError):
                     # Died while idle: the session was never attempted, so it
                     # goes back unharmed and the worker is replaced.
@@ -357,7 +402,7 @@ def run_pool(
                 slot = busy_conns[conn]
                 task = slot.busy
                 try:
-                    kind, row = conn.recv()
+                    message, row = conn.recv()
                 except (EOFError, OSError):
                     # Death mid-session (OOM kill, SIGKILL, segfault): the
                     # streamed checkpoints are already in the WAL, so the
@@ -368,25 +413,25 @@ def run_pool(
                     task.exitcodes.append(reap(slot))
                     spawn(slot)
                     if task.attempts > max_session_retries:
-                        quarantined.append(quarantine_row(task))
+                        quarantined.append(quarantine_row(task, kind))
                         metrics.sessions_quarantined += 1
-                        latest_snapshot.pop(task.spec.session_id, None)
+                        latest_snapshot.pop(task_id(task.spec), None)
                     else:
-                        retried.add(task.spec.session_id)
+                        retried.add(task_id(task.spec))
                         metrics.sessions_retried = len(retried)
                         if retry_backoff > 0:
                             time.sleep(retry_backoff * 2 ** (task.attempts - 1))
-                        if task.spec.session_id in latest_snapshot:
+                        if task_id(task.spec) in latest_snapshot:
                             metrics.sessions_restored += 1
                         offered.append(task)
                     continue
-                if kind == "snapshot":
-                    latest_snapshot[task.spec.session_id] = row
+                if message == "snapshot":
+                    latest_snapshot[task_id(task.spec)] = row
                     wal_append(row)
                     metrics.snapshots_written += 1
                     continue
                 slot.busy = None
-                latest_snapshot.pop(task.spec.session_id, None)
+                latest_snapshot.pop(task_id(task.spec), None)
                 metrics.record_latency(time.perf_counter() - task.submitted_at)
                 _account_completion(metrics, row, task)
                 emit(row, task)
@@ -398,8 +443,8 @@ def run_pool(
                 try:
                     slot.conn.send(None)
                     if slot.conn.poll(5):
-                        kind, sample = slot.conn.recv()
-                        if kind == "stats":
+                        message, sample = slot.conn.recv()
+                        if message == "stats":
                             worker_samples.append(sample)
                 except (OSError, ValueError, EOFError):
                     pass
@@ -415,7 +460,7 @@ def run_pool(
 
 
 def _account_completion(metrics, row, task) -> None:
-    """Settle the completion counters for one finished session row."""
+    """Settle the completion counters for one finished task row."""
     metrics.sessions_completed += 1
     if row.get("error") is not None:
         metrics.sessions_failed += 1
@@ -429,6 +474,7 @@ def _run_serial(
     wal_append: Callable[[Dict[str, object]], None],
     metrics: ServiceMetrics,
     checkpoint_every: int,
+    kind: TaskKind,
 ) -> Tuple[int, List[Dict[str, object]]]:
     """In-process execution: no worker crashes, but driver kills still resume."""
     serial_started = time.perf_counter()
@@ -439,9 +485,7 @@ def _run_serial(
 
     for task in tasks:
         task.submitted_at = time.perf_counter()
-        row = execute_session(
-            task.spec, task.snapshot, checkpoint, checkpoint_every
-        )
+        row = kind.execute(task.spec, task.snapshot, checkpoint, checkpoint_every)
         metrics.record_latency(time.perf_counter() - task.submitted_at)
         _account_completion(metrics, row, task)
         emit(row, task)

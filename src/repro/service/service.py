@@ -10,10 +10,14 @@
 2. **Executes** the pending sessions on the supervised pool
    (:func:`repro.service.pool.run_pool`), streaming one JSONL row per
    completed session to the output file and every checkpoint to the WAL.
-3. **Compacts** the output into canonical submission order with the
-   tmp+fsync+atomic-replace contract, settles the WAL (snapshots of settled
-   sessions are dropped; shed notices are kept), writes the quarantine file,
-   and persists the ops metrics to ``<out>.status.json``.
+3. **Compacts** the output into canonical submission order, settles the WAL
+   (snapshots of settled sessions are dropped; shed notices are kept),
+   settles the quarantine file, and persists the ops metrics to
+   ``<out>.status.json``.
+
+Every file step — loading, the atomic tmp+fsync+replace rewrites (the status
+file included), the resume-time append and the quarantine settle — is the
+shared one in :mod:`repro.durable`.
 
 Because session rows are pure functions of their spec and checkpoints restore
 exactly, a run that was SIGKILLed anywhere — worker, driver, mid-write — and
@@ -26,13 +30,20 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.durable import (
+    dump_row,
+    load_rows,
+    open_for_append,
+    settle_quarantine,
+    write_atomically,
+    write_rows_atomically,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import AdmissionController, PoolTask, run_pool
 from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec
-from repro.service.wal import WriteAheadLog, load_wal, write_rows_atomically
-from repro.engine.runner import dump_row
+from repro.service.wal import WriteAheadLog, load_wal
 
 
 @dataclass(frozen=True)
@@ -125,76 +136,16 @@ def status_path_for(out_path: str) -> str:
     return out_path + ".status.json"
 
 
-def _load_completed_rows(
-    path: str, service: str, sessions: Sequence[SessionSpec]
-) -> Tuple[Dict[str, Dict[str, object]], int]:
-    """Reusable completed rows keyed by session id, plus discarded line count.
-
-    The engine runner's resume contract: malformed lines (a truncated tail
-    after a kill), rows of another service/seed and errored rows (retried
-    rather than frozen in) are counted and dropped.
-    """
-    expected = {spec.session_id: spec for spec in sessions}
-    completed: Dict[str, Dict[str, object]] = {}
-    discarded = 0
-    if not os.path.exists(path):
-        return completed, discarded
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                discarded += 1
-                continue
-            if not isinstance(row, dict):
-                discarded += 1
-                continue
-            spec = expected.get(row.get("session_id"))
-            if (
-                spec is not None
-                and row.get("schema") == SESSION_SCHEMA_VERSION
-                and row.get("service") == service
-                and row.get("seed") == spec.seed
-                and row.get("error") is None
-            ):
-                completed[spec.session_id] = row
-            else:
-                discarded += 1
-    return completed, discarded
+def _shed_notice(spec: SessionSpec) -> Dict[str, object]:
+    """The WAL line that keeps a shed session shed across resumes."""
+    notice: Dict[str, object] = {"kind": "shed", "schema": SESSION_SCHEMA_VERSION}
+    notice.update(spec.to_jsonable())
+    return notice
 
 
-def _ends_with_newline(path: str) -> bool:
-    """Whether the file's last byte is a newline (vacuously true when empty)."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() == 0:
-                return True
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) == b"\n"
-    except OSError:
-        return True
-
-
-def _write_status_atomically(path: str, payload: Dict[str, object]) -> None:
-    """Persist the ops metrics with the tmp+replace contract (ops data only)."""
-    tmp_path = path + ".tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as tmp:
-            json.dump(payload, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+def _dump_status(status: Dict[str, object]) -> str:
+    """The human-readable JSON of ``status.json``."""
+    return json.dumps(status, indent=2, sort_keys=True)
 
 
 class BroadcastSessionService:
@@ -225,25 +176,35 @@ class BroadcastSessionService:
 
         completed: Dict[str, Dict[str, object]] = {}
         discarded = 0
+        wal_discarded = 0
         snapshots: Dict[str, Dict[str, object]] = {}
         shed_ids: Set[str] = set()
         if out_path:
-            directory = os.path.dirname(os.path.abspath(out_path))
-            os.makedirs(directory, exist_ok=True)
             if resume:
-                completed, discarded = _load_completed_rows(
-                    out_path, config.name, sessions
-                )
+                # The engine runner's resume contract: rows of this service
+                # whose session id and seed match and that recorded no error.
+                expected = {spec.session_id: spec for spec in sessions}
+
+                def reusable(row: Dict[str, object]) -> bool:
+                    spec = expected.get(row.get("session_id"))
+                    return (
+                        spec is not None
+                        and row.get("schema") == SESSION_SCHEMA_VERSION
+                        and row.get("service") == config.name
+                        and row.get("seed") == spec.seed
+                        and row.get("error") is None
+                    )
+
+                kept, discarded = load_rows(out_path, reusable)
+                completed = {row["session_id"]: row for row in kept}
                 snapshots, shed_ids, wal_discarded = load_wal(
                     wal_path_for(out_path), schema=SESSION_SCHEMA_VERSION
                 )
-                discarded += wal_discarded
             else:
-                for stale in (wal_path_for(out_path),):
-                    try:
-                        os.remove(stale)
-                    except FileNotFoundError:
-                        pass
+                try:
+                    os.remove(wal_path_for(out_path))
+                except FileNotFoundError:
+                    pass
         metrics.sessions_resumed_from_output = len(completed)
         metrics.sessions_shed = len(shed_ids)
 
@@ -264,22 +225,14 @@ class BroadcastSessionService:
         started = time.perf_counter()
         try:
             if out_path:
-                if resume and completed and (
-                    discarded or not _ends_with_newline(out_path)
-                ):
-                    # The file held lines we are not reusing or a partial
-                    # tail: rewrite only the good rows before appending, so
-                    # new rows never glue onto a broken line.
-                    write_rows_atomically(
-                        out_path,
-                        [
-                            completed[spec.session_id]
-                            for spec in sessions
-                            if spec.session_id in completed
-                        ],
-                    )
-                handle = open(
-                    out_path, "a" if (resume and completed) else "w", encoding="utf-8"
+                handle = open_for_append(
+                    out_path,
+                    [
+                        completed[spec.session_id]
+                        for spec in sessions
+                        if spec.session_id in completed
+                    ],
+                    discarded,
                 )
                 wal = WriteAheadLog(
                     wal_path_for(out_path), fsync_every=config.fsync_every
@@ -297,12 +250,7 @@ class BroadcastSessionService:
 
             def on_shed(spec: SessionSpec) -> None:
                 shed_ids.add(spec.session_id)
-                notice: Dict[str, object] = {
-                    "kind": "shed",
-                    "schema": SESSION_SCHEMA_VERSION,
-                }
-                notice.update(spec.to_jsonable())
-                wal_append(notice)
+                wal_append(_shed_notice(spec))
 
             if tasks:
                 retried, quarantine_rows = run_pool(
@@ -350,46 +298,38 @@ class BroadcastSessionService:
             # Settle the WAL: snapshots of settled sessions are obsolete;
             # shed notices survive so shed decisions stay sticky.
             if shed_ids:
-                notices: List[Dict[str, object]] = []
-                for spec in sessions:
-                    if spec.session_id in shed_ids:
-                        notice = {
-                            "kind": "shed",
-                            "schema": SESSION_SCHEMA_VERSION,
-                        }
-                        notice.update(spec.to_jsonable())
-                        notices.append(notice)
-                write_rows_atomically(wal_path_for(out_path), notices)
+                write_rows_atomically(
+                    wal_path_for(out_path),
+                    [
+                        _shed_notice(spec)
+                        for spec in sessions
+                        if spec.session_id in shed_ids
+                    ],
+                )
             else:
                 try:
                     os.remove(wal_path_for(out_path))
                 except FileNotFoundError:
                     pass
 
-            candidate = quarantine_path_for(out_path)
-            if quarantine_rows:
-                write_rows_atomically(candidate, quarantine_rows)
-                quarantine_path = candidate
-            elif os.path.exists(candidate):
-                stale_quarantined = self._settle_stale_quarantine(
-                    candidate, available
-                )
-                if stale_quarantined:
-                    quarantine_path = candidate
+            quarantine_path, stale_quarantined = settle_quarantine(
+                quarantine_path_for(out_path),
+                quarantine_rows,
+                "session_id",
+                available,
+            )
 
             status_path = status_path_for(out_path)
-            _write_status_atomically(
-                status_path,
-                {
-                    "service": config.name,
-                    "out_path": out_path,
-                    "total_sessions": len(sessions),
-                    "settled_sessions": len(rows),
-                    "quarantine_path": quarantine_path,
-                    "stale_quarantined_sessions": stale_quarantined,
-                    "metrics": metrics.to_jsonable(),
-                },
-            )
+            status = {
+                "service": config.name,
+                "out_path": out_path,
+                "total_sessions": len(sessions),
+                "settled_sessions": len(rows),
+                "quarantine_path": quarantine_path,
+                "stale_quarantined_sessions": stale_quarantined,
+                "metrics": metrics.to_jsonable(),
+            }
+            write_atomically(status_path, [status], _dump_status)
 
         return ServiceSummary(
             service=config.name,
@@ -399,7 +339,7 @@ class BroadcastSessionService:
             shed_sessions=len(shed_ids),
             total_sessions=len(sessions),
             out_path=out_path,
-            discarded_rows=discarded,
+            discarded_rows=discarded + wal_discarded,
             retried_sessions=retried,
             quarantined_sessions=len(quarantine_rows),
             quarantine_path=quarantine_path,
@@ -407,40 +347,3 @@ class BroadcastSessionService:
             status_path=status_path,
             metrics=metrics,
         )
-
-    @staticmethod
-    def _settle_stale_quarantine(
-        candidate: str, available: Dict[str, Dict[str, object]]
-    ) -> int:
-        """Handle a quarantine file left by a *prior* run.
-
-        Sessions it names that are now completed are vindicated; if every one
-        is, the file is removed.  Any session still unaccounted for keeps the
-        file in place and is counted, so stale quarantines are reported, never
-        silently ignored.
-        """
-        stale = 0
-        try:
-            with open(candidate, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError:
-                        stale += 1
-                        continue
-                    if not isinstance(row, dict):
-                        stale += 1
-                        continue
-                    if row.get("session_id") not in available:
-                        stale += 1
-        except OSError:
-            return 0
-        if stale == 0:
-            try:
-                os.remove(candidate)
-            except FileNotFoundError:
-                pass
-        return stale

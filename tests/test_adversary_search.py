@@ -60,7 +60,7 @@ def test_kill_and_resume_is_byte_identical_to_uninterrupted(tmp_path):
         resume=False,
     )
     assert partial.iterations == 2
-    # A truncated final line (the crash case _write_rows_atomically guards
+    # A truncated final line (the crash case write_rows_atomically guards
     # against upstream) must also be absorbed by the resume path.
     with open(resumed, "ab") as handle:
         handle.write(b'{"truncated')

@@ -26,7 +26,6 @@ from repro.engine import (
     summarize_rows,
 )
 from repro.engine.protocol import _REGISTRY
-from repro.engine.runner import _write_rows_atomically
 from repro.engine.spec import cell_seed
 from repro.exceptions import ConfigurationError
 
@@ -174,19 +173,6 @@ class TestRunnerResume:
         assert resumed.computed_cells == 7
         assert _read_bytes(resumed_out) == _read_bytes(fresh_out)
 
-    def test_truncated_last_line_is_recomputed(self, tmp_path):
-        out = str(tmp_path / "rows.jsonl")
-        run_spec(SMALL_SPEC, out_path=out, workers=1, resume=False)
-        pristine = _read_bytes(out)
-        # Simulate a kill mid-write: chop the last line in half.
-        with open(out, "wb") as handle:
-            handle.write(pristine[: len(pristine) - 40])
-        summary = run_spec(SMALL_SPEC, out_path=out, workers=1)
-        assert summary.computed_cells == 1
-        assert summary.skipped_cells == 11
-        assert summary.discarded_rows == 1
-        assert _read_bytes(out) == pristine
-
     def test_truncated_row_never_corrupts_the_appended_rows(self, tmp_path):
         # A truncated trailing line has no newline; the runner must rewrite
         # the good rows before appending, so even a second kill mid-resume
@@ -202,37 +188,6 @@ class TestRunnerResume:
             json.loads(line)
         # A final resume still converges to the pristine file bit for bit.
         run_spec(SMALL_SPEC, out_path=out, workers=1)
-        assert _read_bytes(out) == pristine
-
-    def test_missing_trailing_newline_never_glues_rows(self, tmp_path):
-        # A kill can land after the full row text but before its "\n": the
-        # last line then parses fine, yet appending to it would glue two
-        # rows onto one line.  The runner must rewrite before appending.
-        out = str(tmp_path / "rows.jsonl")
-        run_spec(SMALL_SPEC, out_path=out, workers=1, resume=False)
-        pristine = _read_bytes(out)
-        # 11 valid rows, the 12th lost, and no newline after the 11th.
-        lines = pristine.decode().splitlines()
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:-1]))
-        partial = run_spec(SMALL_SPEC, out_path=out, workers=1, limit=1)
-        assert partial.computed_cells == 1
-        assert partial.skipped_cells == 11
-        for line in _read_bytes(out).decode().splitlines():
-            json.loads(line)
-        run_spec(SMALL_SPEC, out_path=out, workers=1)
-        assert _read_bytes(out) == pristine
-
-    def test_garbage_lines_are_counted_not_fatal(self, tmp_path):
-        out = str(tmp_path / "rows.jsonl")
-        run_spec(SMALL_SPEC, out_path=out, workers=1, resume=False)
-        pristine = _read_bytes(out)
-        with open(out, "ab") as handle:
-            handle.write(b"not json at all\n[1, 2, 3]\n")
-        summary = run_spec(SMALL_SPEC, out_path=out, workers=1)
-        assert summary.computed_cells == 0
-        assert summary.skipped_cells == 12
-        assert summary.discarded_rows == 2
         assert _read_bytes(out) == pristine
 
     def test_errored_cells_are_retried_on_resume(self, tmp_path):
@@ -441,55 +396,60 @@ class TestCrashTolerantWorkers:
         assert second.quarantine_path == out + ".quarantine.jsonl"
         assert os.path.exists(out + ".quarantine.jsonl")
 
-
-class TestCrashSafeCompaction:
-    def test_kill_between_write_and_rename_preserves_the_file(
+    def test_new_quarantine_keeps_unresolved_prior_entries(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "rows.jsonl")
-        _write_rows_atomically(path, [{"a": 1}, {"b": 2}])
-        before = _read_bytes(path)
-
-        # Simulate a SIGKILL landing mid-compaction: the fsync (the last step
-        # before the rename) never returns.
-        def killed(fd):
-            raise KeyboardInterrupt("killed mid-compaction")
-
-        monkeypatch.setattr(os, "fsync", killed)
-        with pytest.raises(KeyboardInterrupt):
-            _write_rows_atomically(path, [{"c": 3}])
-        assert _read_bytes(path) == before
-        assert not os.path.exists(path + ".tmp")
-
-    def test_tmp_file_is_fsynced_before_the_rename(self, tmp_path, monkeypatch):
-        events = []
-        real_fsync, real_replace = os.fsync, os.replace
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1]
+        marker = tmp_path / "markers"
+        marker.mkdir()
+        monkeypatch.setitem(
+            _REGISTRY,
+            "crash-always",
+            _CrashUntilSentinel("crash-always", str(marker), 99),
         )
-        monkeypatch.setattr(
-            os,
-            "replace",
-            lambda src, dst: (events.append("replace"), real_replace(src, dst))[1],
+        spec = _crash_spec("crash-always")
+        crasher, nab_cell = spec.expand()
+        out = str(tmp_path / "rows.jsonl")
+        quarantine = out + ".quarantine.jsonl"
+        # A prior run left the nab cell in quarantine.
+        with open(quarantine, "w", encoding="utf-8") as handle:
+            handle.write(
+                dump_row(
+                    {
+                        "schema": 1,
+                        "spec": spec.name,
+                        "cell_id": nab_cell.cell_id,
+                        "seed": nab_cell.seed,
+                        "attempts": 1,
+                        "worker_exitcodes": [-9],
+                        "error": "WorkerCrash: worker process died 1 time(s) "
+                        "executing this cell",
+                    }
+                )
+                + "\n"
+            )
+        # This resume only reaches the crasher, which it quarantines.
+        summary = run_spec(
+            spec,
+            out_path=out,
+            workers=2,
+            limit=1,
+            max_cell_retries=0,
+            retry_backoff=0,
         )
-        path = str(tmp_path / "rows.jsonl")
-        _write_rows_atomically(path, [{"a": 1}])
-        # File-content fsync strictly precedes the rename (the trailing fsync
-        # is the best-effort directory sync).
-        assert events[0] == "fsync"
-        assert "replace" in events
-        assert events.index("fsync") < events.index("replace")
-
-    def test_failed_write_cleans_up_its_tmp_file(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "rows.jsonl")
-
-        class Unserialisable:
-            pass
-
-        with pytest.raises(TypeError):
-            _write_rows_atomically(path, [{"bad": Unserialisable()}])
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+        assert summary.computed_cells == 0
+        assert summary.quarantined_cells == 1
+        # The nab cell is neither done nor forgotten: still listed, and
+        # reported as stale.
+        assert summary.stale_quarantined_cells == 1
+        assert summary.quarantine_path == quarantine
+        with open(quarantine, encoding="utf-8") as handle:
+            entries = [json.loads(line) for line in handle]
+        assert [entry["cell_id"] for entry in entries] == [
+            nab_cell.cell_id,
+            crasher.cell_id,
+        ]
+        assert entries[1]["attempts"] == 1
+        assert entries[1]["worker_exitcodes"] == [-9]
 
 
 class TestCli:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.engine.runner import dump_row
+from repro.durable import dump_row
 from repro.service import pool as pool_module
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import (
@@ -33,7 +33,7 @@ from repro.service.service import (
     wal_path_for,
 )
 from repro.service.session import SESSION_SCHEMA_VERSION, run_session
-from repro.service.wal import WriteAheadLog, load_wal, write_rows_atomically
+from repro.service.wal import WriteAheadLog, load_wal
 from repro.service.workload import generate_sessions
 
 
@@ -275,42 +275,9 @@ class TestWriteAheadLog:
         # Latest snapshot per session wins.
         assert snapshots["s/1"]["state"]["instances_run"] == 2
 
-    def test_truncated_tail_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "log.wal.jsonl")
-        with WriteAheadLog(path) as wal:
-            wal.append(
-                {
-                    "kind": "snapshot",
-                    "schema": SESSION_SCHEMA_VERSION,
-                    "session_id": "s/1",
-                    "state": {"instances_run": 0},
-                }
-            )
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "snapshot", "session_id": "s/2", "trunc')
-        snapshots, _, discarded = load_wal(path)
-        assert list(snapshots) == ["s/1"]
-        assert discarded == 1
-
-    def test_schema_mismatch_is_discarded(self, tmp_path):
-        path = str(tmp_path / "log.wal.jsonl")
-        with WriteAheadLog(path) as wal:
-            wal.append({"kind": "snapshot", "schema": 999, "session_id": "s/1"})
-        snapshots, _, discarded = load_wal(path, schema=SESSION_SCHEMA_VERSION)
-        assert snapshots == {}
-        assert discarded == 1
-
     def test_missing_file_is_an_empty_log(self, tmp_path):
         snapshots, shed_ids, discarded = load_wal(str(tmp_path / "absent"))
         assert (snapshots, shed_ids, discarded) == ({}, set(), 0)
-
-    def test_atomic_rewrite_replaces_without_a_partial_state(self, tmp_path):
-        path = str(tmp_path / "rows.jsonl")
-        write_rows_atomically(path, [{"a": 1}, {"b": 2}])
-        assert _read_bytes(path) == b'{"a":1}\n{"b":2}\n'
-        write_rows_atomically(path, [{"c": 3}])
-        assert _read_bytes(path) == b'{"c":3}\n'
-        assert not os.path.exists(path + ".tmp")
 
 
 class TestServiceOrchestration:
@@ -371,24 +338,6 @@ class TestServiceOrchestration:
         assert _read_bytes(out) == _read_bytes(fresh)
         assert not os.path.exists(wal_path_for(out))
 
-    def test_truncated_output_tail_is_rewritten_cleanly(self, tmp_path):
-        sessions = _workload(4)
-        out = str(tmp_path / "sessions.jsonl")
-        fresh = str(tmp_path / "fresh.jsonl")
-        BroadcastSessionService(
-            ServiceConfig(name="pool-test", out_path=fresh, workers=1)
-        ).run(sessions)
-        with open(fresh, "rb") as handle:
-            content = handle.read()
-        # Kill mid-write: the final line is half there, no newline.
-        with open(out, "wb") as handle:
-            handle.write(content[: len(content) - 40])
-        summary = BroadcastSessionService(
-            ServiceConfig(name="pool-test", out_path=out, workers=1)
-        ).run(sessions)
-        assert summary.discarded_rows == 1
-        assert _read_bytes(out) == _read_bytes(fresh)
-
     def test_shed_sessions_stay_shed_across_resumes(self, tmp_path):
         sessions = _workload(6, instances=1)
         out = str(tmp_path / "sessions.jsonl")
@@ -427,3 +376,34 @@ class TestServiceOrchestration:
         assert metrics["latency"]["count"] == 3
         assert "topology_contexts" in metrics["caches"]
         assert "mincut" in metrics["caches"]
+
+    def test_new_quarantine_keeps_unresolved_prior_entries(
+        self, tmp_path, monkeypatch
+    ):
+        sessions = _workload(4)
+        out = str(tmp_path / "sessions.jsonl")
+        first_victim, dropped = sessions[1].session_id, sessions[3].session_id
+        _install_crashy_run_session(
+            monkeypatch, str(tmp_path), {first_victim, dropped}, crashes=99
+        )
+        config = ServiceConfig(
+            name="pool-test", out_path=out, workers=2, retry_backoff=0,
+            max_session_retries=0,
+        )
+        first = BroadcastSessionService(config).run(sessions)
+        assert first.quarantined_sessions == 2
+        # Rerun with fewer sessions: the last one is no longer submitted,
+        # while another session crashes again.
+        second = BroadcastSessionService(config).run(sessions[:3])
+        assert second.computed_sessions == 0
+        assert second.quarantined_sessions == 1
+        assert second.stale_quarantined_sessions == 1
+        assert second.quarantine_path == out + ".quarantine.jsonl"
+        with open(second.quarantine_path, encoding="utf-8") as handle:
+            entries = [json.loads(line) for line in handle]
+        assert [entry["session_id"] for entry in entries] == [dropped, first_victim]
+        assert "WorkerCrash" in entries[1]["error"]
+        with open(second.status_path, encoding="utf-8") as handle:
+            status = json.load(handle)
+        assert status["quarantine_path"] == second.quarantine_path
+        assert status["stale_quarantined_sessions"] == 1
