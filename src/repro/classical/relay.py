@@ -26,12 +26,22 @@ Performance notes:
     :func:`clear_relay_path_cache` resets the shared cache (the engine runner
     calls it between topologies); :func:`relay_path_cache_stats` exposes its
     counters.
+
+    A relay call is the per-hop hot loop of ``Broadcast_Default``: it binds
+    the send method, the fault test, the ``relay_value`` hook and the hop
+    kind once, then walks each cached path in place, building nothing per
+    hop (precomputed hop tuples were no faster and raised the service
+    workers' peak memory).  The hooks fire in path and hop order with the
+    same arguments as a plain hop-by-hop walk.  :func:`majority_value`
+    returns at once when every copy is the same object (no faulty
+    intermediary replaced it) and otherwise computes one ``repr`` per
+    distinct object instead of one per copy.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.graph.connectivity import local_connectivity, vertex_disjoint_paths
@@ -212,28 +222,8 @@ class DisjointPathRelay:
         """
         if sender == receiver:
             return value
-        fault_model = self.network.fault_model
-        strategy = fault_model.strategy
-        copies: List[Any] = []
-        for path in self.paths_between(sender, receiver):
-            current_value = value
-            for hop_index in range(len(path) - 1):
-                hop_sender = path[hop_index]
-                hop_receiver = path[hop_index + 1]
-                if hop_index > 0 and fault_model.is_faulty(hop_sender):
-                    current_value = strategy.relay_value(
-                        self.instance, hop_sender, path, receiver, current_value
-                    )
-                self.network.send(
-                    hop_sender,
-                    hop_receiver,
-                    current_value,
-                    bit_size,
-                    phase,
-                    kind=f"{context}:hop",
-                )
-            copies.append(current_value)
-        return majority_value(copies)
+        paths = self.paths_between(sender, receiver)
+        return self._relay(paths, receiver, repeat(value), bit_size, phase, context)
 
     def reliable_send_from_faulty(
         self,
@@ -255,26 +245,39 @@ class DisjointPathRelay:
             raise ProtocolError(
                 f"expected {len(paths)} per-path values, got {len(per_path_values)}"
             )
-        fault_model = self.network.fault_model
-        strategy = fault_model.strategy
+        return self._relay(paths, receiver, per_path_values, bit_size, phase, context)
+
+    def _relay(
+        self,
+        paths: List[List[NodeId]],
+        receiver: NodeId,
+        injected: Iterable[Any],
+        bit_size: int,
+        phase: str,
+        context: str,
+    ) -> Any:
+        """Forward one injected value down each path; the majority of the copies.
+
+        Hops go out path by path, in hop order.  Each faulty intermediate
+        node's ``relay_value`` hook sees the copy arriving at it before it
+        forwards that copy.  The loop allocates nothing per hop.
+        """
+        send = self.network.send
+        is_faulty = self.network.fault_model.is_faulty
+        relay_value = self.network.fault_model.strategy.relay_value
+        instance = self.instance
+        kind = f"{context}:hop"
         copies: List[Any] = []
-        for path, injected in zip(paths, per_path_values):
-            current_value = injected
-            for hop_index in range(len(path) - 1):
-                hop_sender = path[hop_index]
-                hop_receiver = path[hop_index + 1]
-                if hop_index > 0 and fault_model.is_faulty(hop_sender):
-                    current_value = strategy.relay_value(
-                        self.instance, hop_sender, path, receiver, current_value
+        for path, current_value in zip(paths, injected):
+            hop_sender = path[0]
+            for index in range(1, len(path)):
+                hop_receiver = path[index]
+                if index > 1 and is_faulty(hop_sender):
+                    current_value = relay_value(
+                        instance, hop_sender, path, receiver, current_value
                     )
-                self.network.send(
-                    hop_sender,
-                    hop_receiver,
-                    current_value,
-                    bit_size,
-                    phase,
-                    kind=f"{context}:hop",
-                )
+                send(hop_sender, hop_receiver, current_value, bit_size, phase, kind)
+                hop_sender = hop_receiver
             copies.append(current_value)
         return majority_value(copies)
 
@@ -283,27 +286,39 @@ def majority_value(copies: Sequence[Any]) -> Any:
     """Strict majority of ``copies``; :data:`DEFAULT_VALUE` when there is none.
 
     Values are compared by equality after a canonical ``repr``-based key so
-    that unhashable payloads (lists, dicts) can participate.  The common case
-    — every path delivered the same copy of a scalar payload, i.e. no faulty
-    intermediary — is resolved by direct same-type equality, which matches
-    the repr keying exactly for types whose repr is canonical (``1 == True``
-    but their reprs differ, so mixed types always take the keyed path).
+    that unhashable payloads (lists, dicts) can participate; the copy
+    returned is the last one carrying the winning key.  Two fast paths give
+    the same answer without keying: every copy is the same object (no
+    faulty intermediary touched it), or every copy is an equal value of one
+    type whose repr is canonical (``1 == True`` but their reprs differ, so
+    mixed types always take the keyed path).  Otherwise ``repr`` runs once
+    per distinct object, not once per copy: a relay's untouched copies all
+    share the sender's object.
     """
     if not copies:
         return DEFAULT_VALUE
     first = copies[0]
+    for copy in copies:
+        if copy is not first:
+            break
+    else:
+        return first
     first_type = type(first)
     if first_type in _CANONICAL_REPR_TYPES and all(
         type(copy) is first_type and copy == first for copy in copies[1:]
     ):
         return first
+    # ``copies`` keeps every object alive, so ``id`` names each one uniquely.
+    reprs: Dict[int, str] = {}
     keyed: Dict[str, Any] = {}
-    counts: Counter = Counter()
+    counts: Dict[str, int] = {}
     for copy in copies:
-        key = repr(copy)
+        key = reprs.get(id(copy))
+        if key is None:
+            key = reprs[id(copy)] = repr(copy)
         keyed[key] = copy
-        counts[key] += 1
-    best_key, best_count = counts.most_common(1)[0]
-    if best_count * 2 > len(copies):
+        counts[key] = counts.get(key, 0) + 1
+    best_key = max(counts, key=counts.__getitem__)
+    if counts[best_key] * 2 > len(copies):
         return keyed[best_key]
     return DEFAULT_VALUE

@@ -9,8 +9,11 @@ dropped, never fatal.
 
 The latest snapshot per session wins (the log is append-only, so later lines
 supersede earlier ones), mirroring how the engine runner's resume keeps the
-last well-formed row per cell.  Full-file rewrites of the log use
-:func:`repro.durable.write_rows_atomically`.
+last well-formed row per cell.  The first append of a log object reopens the
+file through :func:`repro.durable.open_for_append`, which rewrites the
+well-formed rows when the file ends in a torn line, so a checkpoint written
+after a kill mid-append survives the next load.  Full-file rewrites of the
+log use :func:`repro.durable.write_rows_atomically`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Set, Tuple
 
-from repro.durable import dump_row, load_rows
+from repro.durable import dump_row, load_rows, open_for_append
 
 
 class WriteAheadLog:
@@ -44,9 +47,10 @@ class WriteAheadLog:
     def append(self, row: Dict[str, object]) -> None:
         """Append one row, flushing always and fsyncing on the cadence."""
         if self._handle is None:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
+            # A kill mid-append can leave a torn last line; resume through
+            # the shared step so the first new row never glues onto it.
+            kept, discarded = load_rows(self.path, lambda _row: True)
+            self._handle = open_for_append(self.path, kept, discarded)
         self._handle.write(dump_row(row) + "\n")
         self._handle.flush()
         self._since_fsync += 1

@@ -68,15 +68,24 @@ class TimeAccountant:
     def _record_validated(self, phase: str, tail: NodeId, head: NodeId, bits: int) -> None:
         """Ledger update behind :meth:`record_transmission`, without checks.
 
-        The transport's ``send`` already validated the link and the bit
-        count, so the per-message hot path skips re-validating them here.
+        The transport validated the link and the bit count already, so its
+        charges (the ARQ wire copies) skip re-validating them here.
+        """
+        link_bits = self._live_link_bits(phase)
+        key = (tail, head)
+        link_bits[key] = link_bits.get(key, 0) + bits
+
+    def _live_link_bits(self, phase: str) -> Dict[Edge, int]:
+        """The ledger's own link-bits dict for ``phase`` (created on first use).
+
+        A phase's dict is created once and never replaced, so the transport's
+        ``send`` keeps this dict for the phase it charged last and adds its
+        validated bits straight into it.
         """
         ledger = self._phases.get(phase)
         if ledger is None:
             ledger = self._ledger(phase)
-        link_bits = ledger.link_bits
-        key = (tail, head)
-        link_bits[key] = link_bits.get(key, 0) + bits
+        return ledger.link_bits
 
     def add_fixed_overhead(self, phase: str, time_units: Fraction | int) -> None:
         """Charge a fixed amount of time (independent of link usage) to ``phase``."""
@@ -124,17 +133,25 @@ class TimeAccountant:
         )
 
     def phase_elapsed(self, phase: str) -> Fraction:
-        """Elapsed time of ``phase``: ``max_e bits_e / z_e`` plus fixed overhead."""
-        if phase not in self._phases:
+        """Elapsed time of ``phase``: ``max_e bits_e / z_e`` plus fixed overhead.
+
+        The slowest link is found by integer cross-multiplication
+        (``bits / capacity > best_bits / best_capacity``), so one
+        :class:`Fraction` is built per phase instead of one per link.
+        """
+        ledger = self._phases.get(phase)
+        if ledger is None:
             return Fraction(0)
-        ledger = self._phases[phase]
-        transmission_time = Fraction(0)
+        capacity = self._graph.capacity
+        best_bits, best_capacity = 0, 1
         for (tail, head), bits in ledger.link_bits.items():
-            capacity = self._graph.capacity(tail, head)
-            link_time = Fraction(bits, capacity)
-            if link_time > transmission_time:
-                transmission_time = link_time
-        return transmission_time + ledger.fixed_overhead
+            link_capacity = capacity(tail, head)
+            if bits * best_capacity > best_bits * link_capacity:
+                best_bits, best_capacity = bits, link_capacity
+        elapsed = Fraction(best_bits, best_capacity)
+        if ledger.fixed_overhead:
+            elapsed += ledger.fixed_overhead
+        return elapsed
 
     def total_elapsed(self) -> Fraction:
         """Sum of the elapsed times of all phases (phases run sequentially)."""

@@ -5,6 +5,11 @@ the :class:`repro.transport.accounting.TimeAccountant` can convert link usage
 into elapsed time exactly as the paper's capacity model prescribes.  The
 payload itself is opaque to the transport layer; protocols put whatever
 structured data they need in it (symbols, flags, transcript claims, ...).
+
+Messages are slotted (no per-instance ``__dict__``): the relay builds one per
+hop, hundreds of thousands per session batch.  The public constructor
+validates its arguments; :meth:`Message._trusted` is the transport's
+check-free constructor for arguments ``send`` has already validated.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.types import NodeId
 _SEQUENCE = count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One unit of communication over a directed link.
 
@@ -53,6 +58,32 @@ class Message:
         if self.sender == self.receiver:
             raise ProtocolError("a node does not send messages to itself over the network")
 
+    @classmethod
+    def _trusted(
+        cls,
+        sender: NodeId,
+        receiver: NodeId,
+        phase: str,
+        kind: str,
+        payload: Any,
+        bit_size: int,
+    ) -> "Message":
+        """Build a message from already-validated arguments, skipping the checks.
+
+        Internal to the transport: ``send`` validates the link, the bit count
+        and the endpoints once, then builds the message here.  External data
+        must go through the public constructor.
+        """
+        message = _new_message(cls)
+        _set_sender(message, sender)
+        _set_receiver(message, receiver)
+        _set_phase(message, phase)
+        _set_kind(message, kind)
+        _set_payload(message, payload)
+        _set_bit_size(message, bit_size)
+        _set_sequence(message, next(_SEQUENCE))
+        return message
+
     def replace_payload(self, payload: Any, bit_size: int | None = None) -> "Message":
         """Return a copy with a different payload (used by Byzantine interception)."""
         return Message(
@@ -63,3 +94,15 @@ class Message:
             payload=payload,
             bit_size=self.bit_size if bit_size is None else bit_size,
         )
+
+
+# The slot descriptors' setters write straight into the instance layout,
+# bypassing the frozen ``__setattr__`` the way the dataclass ``__init__`` does.
+_new_message = object.__new__
+_set_sender = Message.sender.__set__
+_set_receiver = Message.receiver.__set__
+_set_phase = Message.phase.__set__
+_set_kind = Message.kind.__set__
+_set_payload = Message.payload.__set__
+_set_bit_size = Message.bit_size.__set__
+_set_sequence = Message.sequence.__set__

@@ -279,6 +279,53 @@ class TestWriteAheadLog:
         snapshots, shed_ids, discarded = load_wal(str(tmp_path / "absent"))
         assert (snapshots, shed_ids, discarded) == ({}, set(), 0)
 
+    def test_append_after_a_torn_tail_keeps_old_and_new_rows(self, tmp_path):
+        # A kill mid-append leaves a partial last line.  The next log object's
+        # first append must not glue its snapshot onto it.
+        path = str(tmp_path / "log.wal.jsonl")
+
+        def snapshot(session_id, instances_run):
+            return {
+                "kind": "snapshot",
+                "schema": SESSION_SCHEMA_VERSION,
+                "session_id": session_id,
+                "state": {"instances_run": instances_run},
+            }
+
+        earlier = [
+            snapshot("s/1", 1),
+            {"kind": "shed", "schema": SESSION_SCHEMA_VERSION, "session_id": "s/2"},
+        ]
+        with open(path, "w", encoding="utf-8") as handle:
+            for row in earlier:
+                handle.write(dump_row(row) + "\n")
+            handle.write(dump_row(snapshot("s/1", 2))[:25])
+        with WriteAheadLog(path) as wal:
+            wal.append(snapshot("s/3", 4))
+        snapshots, shed_ids, discarded = load_wal(
+            path, schema=SESSION_SCHEMA_VERSION
+        )
+        assert discarded == 0
+        assert shed_ids == {"s/2"}
+        assert snapshots["s/1"]["state"]["instances_run"] == 1
+        assert snapshots["s/3"]["state"]["instances_run"] == 4
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == "".join(
+                dump_row(row) + "\n" for row in earlier + [snapshot("s/3", 4)]
+            )
+
+    def test_clean_log_is_appended_in_place(self, tmp_path):
+        path = str(tmp_path / "log.wal.jsonl")
+        first = {"kind": "shed", "schema": SESSION_SCHEMA_VERSION, "session_id": "s/1"}
+        second = {"kind": "shed", "schema": SESSION_SCHEMA_VERSION, "session_id": "s/2"}
+        with WriteAheadLog(path) as wal:
+            wal.append(first)
+        inode = os.stat(path).st_ino
+        with WriteAheadLog(path) as wal:
+            wal.append(second)
+        assert os.stat(path).st_ino == inode
+        assert _read_bytes(path) == (dump_row(first) + "\n" + dump_row(second) + "\n").encode()
+
 
 class TestServiceOrchestration:
     def test_fresh_and_rerun_files_are_byte_identical(self, tmp_path):
